@@ -10,9 +10,11 @@
 //     quotient maintenance differential — mutual-influence recomputes per
 //     H1 run under delta updates vs full rebuilds;
 //   * 512–4096 processes (cap via FCM_SCALE_MAX): the sparse-first
-//     pipeline — CSR-direct series that never materializes the dense P,
-//     hierarchical H1 (partition → cluster within parts → merge across) —
-//     with per-phase wall times, allocation counts, and peak RSS.
+//     pipeline — SW graph built from the stored influence pairs,
+//     CSR-direct series that never materializes the dense P, hierarchical
+//     H1 (partition → cluster within parts → merge across), placement
+//     costed over quotient adjacency — with per-phase wall times,
+//     allocation counts, and peak RSS.
 //
 // The headline speedups, the ≥10× recompute drop, and the bitwise
 // thread/mode-identity checks are recorded to BENCH_scale.json.
@@ -399,7 +401,7 @@ void print_reproduction() {
   TextTable scale_table({"processes", "SW nodes", "clusters", "build",
                          "series CSR", "H1 hier", "H1 flat", "assign+qual",
                          "alloc MB", "peak RSS MB", "identical"});
-  for (const std::size_t n : {512u, 1024u, 4096u}) {
+  for (const std::size_t n : {512u, 1024u, 2048u, 4096u}) {
     if (n > cap) continue;
     const ScaleRow row = measure_scale(n);
     scale_rows.push_back(row);

@@ -97,9 +97,8 @@ Probability InfluenceFactor::probability(
 }
 
 std::size_t InfluenceModel::add_member(FcmId id, std::string name) {
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    if (members_[i].id == id) return i;
-  }
+  const auto [it, inserted] = index_.emplace(id, members_.size());
+  if (!inserted) return it->second;
   members_.push_back(Member{id, std::move(name)});
   // A new member changes the model's shape (matrix dimensions) even though
   // no cached pair value becomes stale; bump the revision for shape-keyed
@@ -119,10 +118,15 @@ const std::string& InfluenceModel::member_name(std::size_t index) const {
 }
 
 std::size_t InfluenceModel::index_of(FcmId id) const {
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    if (members_[i].id == id) return i;
+  const auto it = index_.find(id);
+  if (it == index_.end()) {
+    throw NotFound("FCM is not a member of this influence model");
   }
-  throw NotFound("FCM is not a member of this influence model");
+  return it->second;
+}
+
+Probability InfluenceModel::eq2_value(const PairData& data) {
+  return data.direct ? *data.direct : combine_factors(data.factors);
 }
 
 const InfluenceModel::PairData* InfluenceModel::pair(FcmId from,
@@ -164,17 +168,25 @@ Probability InfluenceModel::influence(FcmId from, FcmId to) const {
     return cached->second;
   }
   ++cache_stats_.misses;
-  Probability result = Probability::zero();
-  if (const auto it = pairs_.find(key); it != pairs_.end()) {
-    const PairData& data = it->second;
-    if (data.direct) {
-      result = *data.direct;
-    } else {
-      result = combine_factors(data.factors);
-    }
-  }
+  const auto it = pairs_.find(key);
+  const Probability result =
+      it == pairs_.end() ? Probability::zero() : eq2_value(it->second);
   value_cache_.emplace(key, result);
   return result;
+}
+
+std::vector<InfluenceModel::StoredInfluence>
+InfluenceModel::nonzero_influences() const {
+  std::vector<StoredInfluence> out;
+  out.reserve(pairs_.size());
+  for (const auto& [key, data] : pairs_) {
+    const Probability value = eq2_value(data);
+    if (value == Probability::zero()) continue;
+    out.push_back(StoredInfluence{static_cast<std::size_t>(key >> 32),
+                                  static_cast<std::size_t>(key & 0xffffffffu),
+                                  value});
+  }
+  return out;
 }
 
 Probability InfluenceModel::influence(FcmId from, FcmId to,

@@ -130,6 +130,19 @@ class InfluenceModel {
   /// indexed by registration order (input to separation analysis, Eq. 3).
   [[nodiscard]] graph::Matrix to_matrix() const;
 
+  /// One stored ordered pair with a nonzero Eq. 2 value.
+  struct StoredInfluence {
+    std::size_t from = 0;  ///< member index of the influencing FCM
+    std::size_t to = 0;    ///< member index of the influenced FCM
+    Probability value;     ///< bit-identical to influence() of the pair
+  };
+
+  /// Every stored pair whose Eq. 2 value is nonzero, in unspecified order.
+  /// Costs O(stored pairs) rather than O(members²) probes, and neither reads
+  /// nor fills the influence() memo, so callers do the same work on a fresh
+  /// model as on one already queried.
+  [[nodiscard]] std::vector<StoredInfluence> nonzero_influences() const;
+
   /// Monotone revision counter, bumped by every mutation (member, factor,
   /// or direct-value changes). External caches — SeparationCache, the
   /// clustering quotient cache — key derived results on it to detect
@@ -148,6 +161,8 @@ class InfluenceModel {
     std::optional<Probability> direct;
   };
 
+  /// Eq. 2 over one stored pair: its direct value or its combined factors.
+  [[nodiscard]] static Probability eq2_value(const PairData& data);
   [[nodiscard]] const PairData* pair(FcmId from, FcmId to) const;
   PairData& pair_mutable(FcmId from, FcmId to);
 
@@ -156,10 +171,13 @@ class InfluenceModel {
     std::string name;
   };
   std::vector<Member> members_;
+  // id -> index into members_, for O(1) add_member and index_of.
+  std::unordered_map<FcmId, std::size_t> index_;
   // (from index << 32 | to index) -> data.
   std::unordered_map<std::uint64_t, PairData> pairs_;
-  // Memo of the no-isolation Eq. 2 value per ordered pair (absent pairs
-  // cache Probability::zero() too — clustering probes many empty pairs).
+  // Memo of the no-isolation Eq. 2 value per ordered pair queried through
+  // influence(); absent pairs cache Probability::zero() too, so repeated
+  // point queries of an empty pair stay O(1).
   mutable std::unordered_map<std::uint64_t, Probability> value_cache_;
   mutable CacheStats cache_stats_;
   std::uint64_t revision_ = 0;

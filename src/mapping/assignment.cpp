@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "core/importance.h"
+#include "obs/obs.h"
 
 namespace fcm::mapping {
 
@@ -69,6 +70,36 @@ bool resources_ok(const ClusterInfo& cluster, const HwNode& node) {
                        cluster.required_resources.end());
 }
 
+/// Mutual influence w(c,o) + w(o,c) of each cluster with every quotient
+/// neighbour o, ascending in o: the only terms that can add to a placement
+/// cost, in the order an all-clusters scan would add them.
+struct Neighbour {
+  std::uint32_t other;
+  double influence;
+};
+
+std::vector<std::vector<Neighbour>> mutual_neighbours(
+    const graph::Digraph& quotient, std::size_t clusters) {
+  std::vector<std::vector<std::uint32_t>> adjacent(clusters);
+  for (const graph::Edge& e : quotient.edges()) {
+    if (e.from >= clusters || e.to >= clusters) continue;
+    adjacent[e.from].push_back(e.to);
+    adjacent[e.to].push_back(e.from);
+  }
+  std::vector<std::vector<Neighbour>> neighbours(clusters);
+  for (std::uint32_t c = 0; c < adjacent.size(); ++c) {
+    std::vector<std::uint32_t>& others = adjacent[c];
+    std::sort(others.begin(), others.end());
+    others.erase(std::unique(others.begin(), others.end()), others.end());
+    for (const std::uint32_t o : others) {
+      const double influence = quotient.weight(c, o).value_or(0.0) +
+                               quotient.weight(o, c).value_or(0.0);
+      if (influence > 0.0) neighbours[c].push_back(Neighbour{o, influence});
+    }
+  }
+  return neighbours;
+}
+
 /// Places clusters in the given order; each takes a resource-feasible HW
 /// node, preferring low added dilation (Σ influence x hops to placed
 /// clusters) and resource-poor nodes (so specialized nodes stay available
@@ -77,10 +108,24 @@ bool resources_ok(const ClusterInfo& cluster, const HwNode& node) {
 struct Placer {
   const std::vector<std::uint32_t>& order;
   const std::vector<ClusterInfo>& info;
-  const ClusteringResult& clustering;
+  const std::vector<std::vector<Neighbour>>& neighbours;
   const HwGraph& hw;
   Assignment assignment;
   std::vector<bool> used;
+  /// Hop rows from candidate nodes, filled on first use for pairs that are
+  /// not directly linked (a complete platform never fills one). Local to
+  /// this placement: the HwGraph is shared by concurrent planners.
+  std::vector<std::vector<int>> hop_rows;
+
+  int hops(HwNodeId from, HwNodeId to) {
+    if (hw.linked(from, to)) return 1;
+    std::vector<int>& row = hop_rows[from.value()];
+    if (row.empty()) row = hw.hop_row(from);
+    // Unreachable: hop_distance throws the Infeasible a positive
+    // influence across HW components has always raised.
+    if (row[to.value()] < 0) return hw.hop_distance(from, to);
+    return row[to.value()];
+  }
 
   bool place(std::size_t position) {
     if (position == order.size()) return true;
@@ -96,15 +141,9 @@ struct Placer {
       if (used[candidate.id.value()]) continue;
       if (!resources_ok(info[c], candidate)) continue;
       double cost = 0.0;
-      for (std::uint32_t other = 0; other < info.size(); ++other) {
-        if (!assignment.hw_of[other].valid()) continue;
-        const double influence =
-            clustering.quotient.weight(c, other).value_or(0.0) +
-            clustering.quotient.weight(other, c).value_or(0.0);
-        if (influence > 0.0) {
-          cost += influence *
-                  hw.hop_distance(candidate.id, assignment.hw_of[other]);
-        }
+      for (const Neighbour& n : neighbours[c]) {
+        const HwNodeId host = assignment.hw_of[n.other];
+        if (host.valid()) cost += n.influence * hops(candidate.id, host);
       }
       candidates.push_back(
           Candidate{candidate.id, cost, candidate.resources.size()});
@@ -133,9 +172,13 @@ Assignment place_in_order(const std::vector<std::uint32_t>& order,
                           const HwGraph& hw) {
   FCM_REQUIRE(info.size() <= hw.node_count(),
               "more clusters than HW nodes; cluster further first");
-  Placer placer{order, info, clustering, hw, Assignment{}, {}};
+  FCM_OBS_SPAN("assign.place");
+  const std::vector<std::vector<Neighbour>> neighbours =
+      mutual_neighbours(clustering.quotient, info.size());
+  Placer placer{order, info, neighbours, hw, Assignment{}, {}, {}};
   placer.assignment.hw_of.assign(info.size(), HwNodeId::invalid());
   placer.used.assign(hw.node_count(), false);
+  placer.hop_rows.resize(hw.node_count());
   if (!placer.place(0)) {
     throw Infeasible(
         "no assignment satisfies every cluster's resource requirements");

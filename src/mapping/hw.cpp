@@ -1,7 +1,5 @@
 #include "mapping/hw.h"
 
-#include <queue>
-
 #include "common/error.h"
 #include "graph/algorithms.h"
 
@@ -50,27 +48,41 @@ bool HwGraph::linked(HwNodeId a, HwNodeId b) const {
   return graph_.has_edge(a.value(), b.value());
 }
 
+void HwGraph::bfs(graph::NodeIndex source, graph::NodeIndex target,
+                  std::vector<int>& dist) const {
+  std::vector<graph::NodeIndex> frontier{source};
+  dist[source] = 0;
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const graph::NodeIndex v = frontier[head];
+    for (const std::uint32_t e : graph_.out_edges(v)) {
+      const graph::NodeIndex w = graph_.edges()[e].to;
+      if (dist[w] >= 0) continue;
+      dist[w] = dist[v] + 1;
+      if (w == target) return;
+      frontier.push_back(w);
+    }
+  }
+}
+
 int HwGraph::hop_distance(HwNodeId a, HwNodeId b) const {
   FCM_REQUIRE(a.value() < nodes_.size() && b.value() < nodes_.size(),
               "unknown HW node id");
   if (a == b) return 0;
+  if (linked(a, b)) return 1;
   std::vector<int> dist(nodes_.size(), -1);
-  std::queue<graph::NodeIndex> queue;
-  queue.push(a.value());
-  dist[a.value()] = 0;
-  while (!queue.empty()) {
-    const graph::NodeIndex v = queue.front();
-    queue.pop();
-    for (const graph::NodeIndex w : graph_.successors(v)) {
-      if (dist[w] < 0) {
-        dist[w] = dist[v] + 1;
-        if (w == b.value()) return dist[w];
-        queue.push(w);
-      }
-    }
+  bfs(a.value(), b.value(), dist);
+  if (dist[b.value()] < 0) {
+    throw Infeasible("HW nodes " + node(a).name + " and " + node(b).name +
+                     " are not connected");
   }
-  throw Infeasible("HW nodes " + node(a).name + " and " + node(b).name +
-                   " are not connected");
+  return dist[b.value()];
+}
+
+std::vector<int> HwGraph::hop_row(HwNodeId a) const {
+  FCM_REQUIRE(a.value() < nodes_.size(), "unknown HW node id");
+  std::vector<int> dist(nodes_.size(), -1);
+  bfs(a.value(), UINT32_MAX, dist);
+  return dist;
 }
 
 bool HwGraph::strongly_connected() const {

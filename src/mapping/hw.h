@@ -55,9 +55,14 @@ class HwGraph {
 
   [[nodiscard]] bool linked(HwNodeId a, HwNodeId b) const;
 
-  /// Minimum hop count between two nodes (0 for a==b); throws Infeasible
-  /// when disconnected.
+  /// Minimum hop count between two nodes (0 for a==b, 1 for linked nodes
+  /// without a search); throws Infeasible when disconnected.
   [[nodiscard]] int hop_distance(HwNodeId a, HwNodeId b) const;
+
+  /// Minimum hop count from `a` to every node (indexed by node id), -1 for
+  /// nodes unreachable from `a`: one breadth-first search, for callers that
+  /// ask many distances from the same node.
+  [[nodiscard]] std::vector<int> hop_row(HwNodeId a) const;
 
   /// Every ordered node pair mutually reachable.
   [[nodiscard]] bool strongly_connected() const;
@@ -68,6 +73,11 @@ class HwGraph {
   }
 
  private:
+  /// Breadth-first hop counts from `source` into `dist` (pre-sized, -1 =
+  /// unvisited); stops once `target` is reached.
+  void bfs(graph::NodeIndex source, graph::NodeIndex target,
+           std::vector<int>& dist) const;
+
   std::vector<HwNode> nodes_;
   graph::Digraph graph_;
 };

@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "core/separation.h"
+#include "obs/obs.h"
 
 namespace fcm::mapping {
 
@@ -49,6 +50,7 @@ std::string MappingQuality::report() const {
 MappingQuality evaluate(const SwGraph& sw, const ClusteringResult& clustering,
                         const Assignment& assignment, const HwGraph& hw,
                         const QualityOptions& options) {
+  FCM_OBS_SPAN("quality.evaluate");
   const graph::Partition& partition = clustering.partition;
   FCM_REQUIRE(assignment.hw_of.size() == partition.cluster_count,
               "assignment does not cover every cluster");

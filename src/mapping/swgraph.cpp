@@ -4,8 +4,13 @@
 #include <map>
 
 #include "common/error.h"
+#include "obs/obs.h"
 
 namespace fcm::mapping {
+
+namespace {
+constexpr std::uint32_t kAbsent = UINT32_MAX;
+}  // namespace
 
 std::string replica_suffix(int index) {
   FCM_REQUIRE(index >= 0, "replica index must be non-negative");
@@ -22,15 +27,25 @@ SwGraph SwGraph::build(const core::FcmHierarchy& hierarchy,
                        const core::InfluenceModel& influence,
                        const std::vector<FcmId>& processes,
                        const core::ImportanceWeights& weights) {
+  FCM_OBS_SPAN("swgraph.build");
   SwGraph sw;
-  // First pass: create replica nodes per process.
+  // First pass: create replica nodes per process, and map each process's
+  // influence-model member index to its position in `processes`.
   std::vector<std::vector<graph::NodeIndex>> replicas_of(processes.size());
+  std::vector<std::uint32_t> position_of(influence.member_count(), kAbsent);
   for (std::size_t p = 0; p < processes.size(); ++p) {
     const core::Fcm& fcm = hierarchy.get(processes[p]);
     FCM_REQUIRE(fcm.level == core::Level::kProcess,
                 "SW allocation graph is built over process-level FCMs");
     const int degree = fcm.attributes.replication;
     FCM_REQUIRE(degree >= 1, "replication degree must be at least 1");
+    // A lone process has no pairs, so it needs no influence membership.
+    if (processes.size() > 1) {
+      std::uint32_t& position = position_of[influence.index_of(fcm.id)];
+      FCM_REQUIRE(position == kAbsent,
+                  "process " + fcm.name + " is listed more than once");
+      position = static_cast<std::uint32_t>(p);
+    }
     for (int r = 0; r < degree; ++r) {
       SwNode node;
       node.id = SwNodeId(static_cast<std::uint32_t>(sw.nodes_.size()));
@@ -44,17 +59,32 @@ SwGraph SwGraph::build(const core::FcmHierarchy& hierarchy,
     }
   }
   // Influence edges, replicated across every (source replica, target
-  // replica) pair.
-  for (std::size_t from = 0; from < processes.size(); ++from) {
-    for (std::size_t to = 0; to < processes.size(); ++to) {
-      if (from == to) continue;
-      const Probability p =
-          influence.influence(processes[from], processes[to]);
-      if (p == Probability::zero()) continue;
-      for (const graph::NodeIndex a : replicas_of[from]) {
-        for (const graph::NodeIndex b : replicas_of[to]) {
-          sw.graph_.add_edge(a, b, p.value());
-        }
+  // replica) pair. Only stored nonzero pairs can become edges ("there is no
+  // edge in any other case of non-influence", §5.1), so the build walks
+  // those instead of probing every process pair. Sorting by (from, to)
+  // position reproduces the row-major order of an all-pairs walk: edge
+  // insertion order fixes each Eq. 4 product's order and the clustering
+  // heap's tie-breaks.
+  struct PositionedEdge {
+    std::uint32_t from, to;
+    double weight;
+  };
+  std::vector<PositionedEdge> edges;
+  for (const core::InfluenceModel::StoredInfluence& pair :
+       influence.nonzero_influences()) {
+    const std::uint32_t from = position_of[pair.from];
+    const std::uint32_t to = position_of[pair.to];
+    if (from == kAbsent || to == kAbsent) continue;
+    edges.push_back(PositionedEdge{from, to, pair.value.value()});
+  }
+  std::sort(edges.begin(), edges.end(),
+            [](const PositionedEdge& a, const PositionedEdge& b) {
+              return a.from != b.from ? a.from < b.from : a.to < b.to;
+            });
+  for (const PositionedEdge& edge : edges) {
+    for (const graph::NodeIndex a : replicas_of[edge.from]) {
+      for (const graph::NodeIndex b : replicas_of[edge.to]) {
+        sw.graph_.add_edge(a, b, edge.weight);
       }
     }
   }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 
 namespace fcm::core {
@@ -141,6 +145,37 @@ TEST_F(InfluenceModelTest, ToMatrixMatchesInfluence) {
 TEST_F(InfluenceModelTest, AddMemberIdempotent) {
   EXPECT_EQ(model_.add_member(a_, "A"), 0u);
   EXPECT_EQ(model_.member_count(), 3u);
+}
+
+TEST_F(InfluenceModelTest, NonzeroInfluencesAreBitIdenticalAndMemoFree) {
+  model_.add_factor(a_, b_,
+                    make_factor(FactorKind::kSharedMemory, 0.9, 0.7, 0.3));
+  model_.add_factor(a_, b_,
+                    make_factor(FactorKind::kTiming, 0.2, 0.6, 0.8));
+  model_.set_direct(b_, c_, Probability(0.25));
+  model_.set_direct(c_, a_, Probability::zero());  // stored but zero
+  model_.reset_cache_stats();
+  std::vector<InfluenceModel::StoredInfluence> pairs =
+      model_.nonzero_influences();
+  EXPECT_EQ(model_.cache_stats().hits + model_.cache_stats().misses, 0u);
+  std::sort(pairs.begin(), pairs.end(), [](const auto& x, const auto& y) {
+    return std::pair(x.from, x.to) < std::pair(y.from, y.to);
+  });
+  ASSERT_EQ(pairs.size(), 2u);
+  EXPECT_EQ(pairs[0].from, 0u);
+  EXPECT_EQ(pairs[0].to, 1u);
+  EXPECT_EQ(pairs[0].value.value(), model_.influence(a_, b_).value());
+  EXPECT_EQ(pairs[1].from, 1u);
+  EXPECT_EQ(pairs[1].to, 2u);
+  EXPECT_EQ(pairs[1].value.value(), 0.25);
+}
+
+TEST_F(InfluenceModelTest, IndexOfFollowsRegistrationOrder) {
+  EXPECT_EQ(model_.index_of(a_), 0u);
+  EXPECT_EQ(model_.index_of(c_), 2u);
+  EXPECT_EQ(model_.add_member(FcmId(7), "D"), 3u);
+  EXPECT_EQ(model_.index_of(FcmId(7)), 3u);
+  EXPECT_THROW((void)model_.index_of(FcmId(8)), NotFound);
 }
 
 TEST(IsolationConfig, EnableDisableFactor) {

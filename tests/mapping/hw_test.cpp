@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
 
 namespace fcm::mapping {
@@ -49,6 +53,39 @@ TEST(HwGraph, DisconnectedDistanceThrows) {
   const HwNodeId b = hw.add_node("b");
   EXPECT_THROW((void)hw.hop_distance(a, b), Infeasible);
   EXPECT_FALSE(hw.strongly_connected());
+}
+
+TEST(HwGraph, HopRowMatchesPairwiseDistances) {
+  // A 3x3 grid: linked pairs answer 1 without a search, the rest by BFS,
+  // and one row holds every distance from its source.
+  HwGraph hw;
+  for (int i = 0; i < 9; ++i) hw.add_node("n" + std::to_string(i));
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    for (std::uint32_t c = 0; c < 3; ++c) {
+      if (c + 1 < 3) hw.add_link(HwNodeId(r * 3 + c), HwNodeId(r * 3 + c + 1), 1.0);
+      if (r + 1 < 3) hw.add_link(HwNodeId(r * 3 + c), HwNodeId(r * 3 + c + 3), 1.0);
+    }
+  }
+  for (std::uint32_t a = 0; a < 9; ++a) {
+    const std::vector<int> row = hw.hop_row(HwNodeId(a));
+    for (std::uint32_t b = 0; b < 9; ++b) {
+      const int manhattan = std::abs(static_cast<int>(a / 3 - b / 3)) +
+                            std::abs(static_cast<int>(a % 3) -
+                                     static_cast<int>(b % 3));
+      EXPECT_EQ(row[b], manhattan);
+      EXPECT_EQ(hw.hop_distance(HwNodeId(a), HwNodeId(b)), manhattan);
+    }
+  }
+}
+
+TEST(HwGraph, HopRowMarksUnreachableNodes) {
+  HwGraph hw;
+  const HwNodeId a = hw.add_node("a");
+  const HwNodeId b = hw.add_node("b");
+  const HwNodeId c = hw.add_node("c");
+  hw.add_link(a, b, 1.0);
+  EXPECT_EQ(hw.hop_row(a), (std::vector<int>{0, 1, -1}));
+  EXPECT_THROW((void)hw.hop_distance(a, c), Infeasible);
 }
 
 TEST(HwGraph, NodeResourcesAndMemory) {

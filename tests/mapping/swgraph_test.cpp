@@ -186,5 +186,24 @@ TEST(SwGraph, RejectsNonProcessFcms) {
   EXPECT_THROW(SwGraph::build(h, influence, {task}), InvalidArgument);
 }
 
+TEST(SwGraph, RejectsDuplicateProcessIds) {
+  // A repeated id would otherwise expand into two node sets sharing one
+  // origin, which replicas() then treats as replicas of each other.
+  const Instance instance = make_instance();
+  std::vector<FcmId> processes = instance.processes;
+  processes.push_back(processes[1]);
+  EXPECT_THROW(SwGraph::build(instance.hierarchy, instance.influence,
+                              processes),
+               InvalidArgument);
+}
+
+TEST(SwGraph, RejectsProcessesOutsideTheInfluenceModel) {
+  const Instance instance = make_instance();
+  core::InfluenceModel empty;
+  EXPECT_THROW(
+      SwGraph::build(instance.hierarchy, empty, instance.processes),
+      NotFound);
+}
+
 }  // namespace
 }  // namespace fcm::mapping
