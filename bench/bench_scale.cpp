@@ -5,10 +5,9 @@
 // serve daemon) through two regimes:
 //
 //   * 32–256 processes: per-phase timings of the Eq. 3 separation series
-//     (reference loop vs the kernel fast path) and H1 clustering (full
-//     pair rescan vs the lazy-deletion pair heap), plus the incremental
-//     quotient maintenance differential — mutual-influence recomputes per
-//     H1 run under delta updates vs full rebuilds;
+//     (reference loop vs the kernel fast path) and H1 clustering, plus the
+//     mutual-influence recomputes per H1 run under delta updates against
+//     the count a full rebuild after every merge would need;
 //   * 512–4096 processes (cap via FCM_SCALE_MAX): the sparse-first
 //     pipeline — SW graph built from the stored influence pairs,
 //     CSR-direct series that never materializes the dense P, hierarchical
@@ -17,7 +16,7 @@
 //     allocation counts, and peak RSS.
 //
 // The headline speedups, the ≥10× recompute drop, and the bitwise
-// thread/mode-identity checks are recorded to BENCH_scale.json.
+// thread-identity checks are recorded to BENCH_scale.json.
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -96,11 +95,9 @@ struct PhaseRow {
   std::size_t sw_nodes = 0;
   double series_ref_seconds = 0.0;
   double series_fast_seconds = 0.0;
-  double h1_scan_seconds = 0.0;
   double h1_heap_seconds = 0.0;
   double assign_seconds = 0.0;
   bool series_identical = false;
-  bool h1_identical = false;
 };
 
 PhaseRow measure(std::size_t processes) {
@@ -132,26 +129,16 @@ PhaseRow measure(std::size_t processes) {
         row.series_identical && bitwise_equal(ref, graph::power_series_sum(p, sopts));
   }
 
-  // Phase 2: H1 clustering, full rescan vs pair heap. Schedulability is
-  // skipped so the comparison isolates the merge-selection machinery (the
-  // oracle costs the same on both paths).
+  // Phase 2: H1 clustering through the pair heap. Schedulability is
+  // skipped so the phase isolates the merge-selection machinery.
   ClusteringOptions copts;
   copts.target_clusters = hw_nodes;
   copts.enforce_schedulability = false;
-  ClusteringResult scan_result, heap_result;
-  copts.use_pair_heap = false;
-  row.h1_scan_seconds = phase_seconds(reps, [&] {
-    ClusterEngine engine(sw, copts);
-    scan_result = engine.h1_greedy();
-  });
-  copts.use_pair_heap = true;
+  ClusteringResult heap_result;
   row.h1_heap_seconds = phase_seconds(reps, [&] {
     ClusterEngine engine(sw, copts);
     heap_result = engine.h1_greedy();
   });
-  row.h1_identical =
-      scan_result.steps == heap_result.steps &&
-      scan_result.partition.cluster_of == heap_result.partition.cluster_of;
 
   // Phase 3: assignment + quality on the heap clustering.
   row.assign_seconds = phase_seconds(reps, [&] {
@@ -167,16 +154,17 @@ PhaseRow measure(std::size_t processes) {
   return row;
 }
 
-// Quotient maintenance differential: one heap H1 run per mode, counting
-// mutual-influence recomputes (heap pushes) via fcm::obs. Rebuild mode
-// refreshes every live pair after each merge (~n recomputes per merge);
-// incremental mode only touches the merged cluster's quotient neighbors.
+// Quotient maintenance: one H1 run, counting mutual-influence recomputes
+// via fcm::obs. Delta updates only recompute pairs whose edge bundle
+// changed: the merged cluster's neighbors on both merged sides. A full
+// rebuild refreshes the merged cluster's pair with every other live
+// cluster, k − 2 recomputes for the merge that leaves k − 1 clusters, so
+// merging n SW nodes down to t clusters costs Σ_{k=t+1}^{n} (k − 2).
 struct QuotientStats {
   std::uint64_t recomputes_rebuild = 0;
   std::uint64_t recomputes_incremental = 0;
   std::uint64_t delta_updates = 0;
-  double stale_fraction = 0.0;  // stale pops / pops on the incremental path
-  bool identical = false;       // both modes produced the same clustering
+  double stale_fraction = 0.0;  // stale pops / pops
 };
 
 QuotientStats measure_quotient_drop(std::size_t processes) {
@@ -186,34 +174,29 @@ QuotientStats measure_quotient_drop(std::size_t processes) {
   ClusteringOptions copts;
   copts.target_clusters = std::max<std::size_t>(4, processes / 3);
   copts.enforce_schedulability = false;
-  copts.use_pair_heap = true;
 
-  ClusteringResult results[2];
-  obs::MetricsSnapshot snapshots[2];
   obs::set_enabled(true);
-  for (int mode = 0; mode < 2; ++mode) {
-    copts.incremental_quotient = mode == 1;
-    obs::MetricsRegistry::global().reset();
+  obs::MetricsRegistry::global().reset();
+  {
     ClusterEngine engine(sw, copts);
-    results[mode] = engine.h1_greedy();
-    snapshots[mode] = obs::MetricsRegistry::global().snapshot();
+    (void)engine.h1_greedy();
   }
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::global().snapshot();
   obs::set_enabled(false);
   obs::MetricsRegistry::global().reset();
 
   QuotientStats stats;
-  stats.recomputes_rebuild = counter(snapshots[0], "h1.heap.recomputes");
-  stats.recomputes_incremental = counter(snapshots[1], "h1.heap.recomputes");
-  stats.delta_updates = counter(snapshots[1], "quotient_cache.delta_updates");
-  const std::uint64_t pops = counter(snapshots[1], "h1.heap.pops");
+  for (std::size_t k = copts.target_clusters + 1; k <= sw.node_count(); ++k) {
+    stats.recomputes_rebuild += k - 2;
+  }
+  stats.recomputes_incremental = counter(snapshot, "h1.heap.recomputes");
+  stats.delta_updates = counter(snapshot, "quotient_cache.delta_updates");
+  const std::uint64_t pops = counter(snapshot, "h1.heap.pops");
+  const std::uint64_t stale = counter(snapshot, "h1.heap.stale_pops");
   stats.stale_fraction =
       pops == 0 ? 0.0
-                : static_cast<double>(counter(snapshots[1],
-                                              "h1.heap.stale_pops")) /
-                      static_cast<double>(pops);
-  stats.identical =
-      results[0].steps == results[1].steps &&
-      results[0].partition.cluster_of == results[1].partition.cluster_of;
+                : static_cast<double>(stale) / static_cast<double>(pops);
   return stats;
 }
 
@@ -280,7 +263,6 @@ ScaleRow measure_scale(std::size_t processes) {
   ClusteringOptions copts;
   copts.target_clusters = std::max<std::size_t>(4, processes / 3);
   copts.enforce_schedulability = false;
-  copts.use_pair_heap = true;
   copts.log_steps = false;
   copts.threads = 1;
   ClusteringResult hier;
@@ -301,8 +283,8 @@ ScaleRow measure_scale(std::size_t processes) {
     copts.threads = 1;
   }
 
-  // Flat heap H1 for scale comparison; above 1024 its all-pairs seeding
-  // and merge loop dominate the whole bench, so it is skipped there.
+  // Flat heap H1 for scale comparison; above 1024 its merge loop
+  // dominates the whole bench, so it is skipped there.
   if (processes <= 1024) {
     row.h1_flat_seconds = seconds_of([&] {
       ClusterEngine engine(*sw, copts);
@@ -356,8 +338,7 @@ std::size_t scale_cap() {
 void print_reproduction() {
   bench::banner("Per-phase planning cost, 32 -> 256 processes");
   TextTable table({"processes", "SW nodes", "series ref", "series fast",
-                   "series x", "H1 scan", "H1 heap", "H1 x", "assign+qual",
-                   "identical"});
+                   "series x", "H1", "assign+qual", "identical"});
   PhaseRow headline;
   std::vector<PhaseRow> rows;
   for (const std::size_t n : {32u, 64u, 128u, 256u}) {
@@ -369,10 +350,8 @@ void print_reproduction() {
                    fmt(row.series_ref_seconds, 4),
                    fmt(row.series_fast_seconds, 4),
                    fmt(row.series_ref_seconds / row.series_fast_seconds, 1),
-                   fmt(row.h1_scan_seconds, 4), fmt(row.h1_heap_seconds, 4),
-                   fmt(row.h1_scan_seconds / row.h1_heap_seconds, 1),
-                   fmt(row.assign_seconds, 4),
-                   row.series_identical && row.h1_identical ? "yes" : "NO"});
+                   fmt(row.h1_heap_seconds, 4), fmt(row.assign_seconds, 4),
+                   row.series_identical ? "yes" : "NO"});
   }
   std::cout << table.render();
   std::cout << "(series fast path = auto CSR/blocked kernel of "
@@ -391,8 +370,7 @@ void print_reproduction() {
             << qstats.recomputes_rebuild
             << " incremental=" << qstats.recomputes_incremental << " ("
             << fmt(drop, 1) << "x fewer), stale-pop fraction "
-            << fmt(qstats.stale_fraction, 3) << ", clusterings "
-            << (qstats.identical ? "identical" : "DIFFERENT") << '\n';
+            << fmt(qstats.stale_fraction, 3) << '\n';
 
   const std::size_t cap = scale_cap();
   std::vector<ScaleRow> scale_rows;
@@ -447,15 +425,10 @@ void print_reproduction() {
        << ",\n"
        << "  \"series_speedup\": "
        << headline.series_ref_seconds / headline.series_fast_seconds << ",\n"
-       << "  \"h1_scan_seconds\": " << headline.h1_scan_seconds << ",\n"
        << "  \"h1_heap_seconds\": " << headline.h1_heap_seconds << ",\n"
-       << "  \"h1_speedup\": "
-       << headline.h1_scan_seconds / headline.h1_heap_seconds << ",\n"
        << "  \"assign_seconds\": " << headline.assign_seconds << ",\n"
        << "  \"series_bitwise_identical\": "
        << (headline.series_identical ? "true" : "false") << ",\n"
-       << "  \"h1_identical\": "
-       << (headline.h1_identical ? "true" : "false") << ",\n"
        << "  \"recomputes_rebuild\": " << qstats.recomputes_rebuild << ",\n"
        << "  \"recomputes_incremental\": " << qstats.recomputes_incremental
        << ",\n"
@@ -463,8 +436,6 @@ void print_reproduction() {
        << "  \"quotient_delta_updates\": " << qstats.delta_updates << ",\n"
        << "  \"pair_heap_stale_fraction\": " << qstats.stale_fraction
        << ",\n"
-       << "  \"quotient_modes_identical\": "
-       << (qstats.identical ? "true" : "false") << ",\n"
        << "  \"max_processes\": "
        << (scale_rows.empty() ? headline.processes
                               : scale_rows.back().processes)
@@ -536,14 +507,12 @@ BENCHMARK(BM_SeriesCsrDirect)->Arg(64)->Arg(256);
 
 void BM_H1AtScale(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool heap = state.range(1) != 0;
   const System sys = make_system(n, 7);
   const SwGraph sw =
       SwGraph::build(sys.hierarchy, sys.influence, sys.processes);
   for (auto _ : state) {
     ClusteringOptions options;
     options.target_clusters = std::max<std::size_t>(4, n / 3);
-    options.use_pair_heap = heap;
     ClusterEngine engine(sw, options);
     try {
       benchmark::DoNotOptimize(engine.h1_greedy());
@@ -553,11 +522,7 @@ void BM_H1AtScale(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(sw.node_count()));
 }
-BENCHMARK(BM_H1AtScale)
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({64, 0})
-    ->Args({64, 1});
+BENCHMARK(BM_H1AtScale)->Arg(16)->Arg(64);
 
 void BM_H1Hierarchical(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

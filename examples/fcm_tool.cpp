@@ -4,7 +4,6 @@
 //
 //   fcm_tool plan  [--hw N] [--heuristic h1|h1r|h1h|h2|h3|crit|timing]
 //                  [--approach a|b] [--synthetic P] [--seed S]
-//                  [--quotient incremental|rebuild]
 //   fcm_tool table                       # print Table 1
 //   fcm_tool influence                   # print the Fig. 3 graph + roles
 //   fcm_tool separation [--order K]      # Eq. 3 separation matrix
@@ -62,7 +61,7 @@ const std::vector<CommandSpec> kCommands = {
     {"separation", {{"order"}, {"threads"}}},
     {"plan",
      {{"hw"}, {"heuristic"}, {"approach"}, {"sweep-threads"}, {"synthetic"},
-      {"seed"}, {"quotient"}}},
+      {"seed"}}},
     {"depend", {{"hw"}, {"q"}, {"trials"}, {"threads"}}},
     {"replan", {{"hw"}, {"fail"}, {"heuristic"}, {"approach"}}},
     {"resilience",
@@ -88,13 +87,12 @@ int usage() {
       "  influence                           Fig. 3 graph + 4.2.4 roles\n"
       "  separation [--order K] [--threads T]  Eq. 3 separation matrix\n"
       "  plan [--hw N] [--heuristic H] [--approach a|b] [--sweep-threads T]\n"
-      "       [--synthetic P] [--seed S] [--quotient incremental|rebuild]\n"
+      "       [--synthetic P] [--seed S]\n"
       "       H in {h1, h1r, h1h, h2, h3, crit, timing, best}; T\n"
       "       parallelizes the 'best' sweep (0 = all cores, same plan for\n"
       "       every T); --synthetic plans a deterministic seeded random\n"
       "       system of P processes instead of example98 (h1h scales to\n"
-      "       thousands); --quotient selects the clustering cache mode,\n"
-      "       both modes print byte-identical plans\n"
+      "       thousands)\n"
       "  depend [--hw N] [--q P] [--trials N] [--threads T]\n"
       "       Monte Carlo evaluation; T=0 uses all cores, the estimates\n"
       "       are identical for every T\n"
@@ -234,8 +232,7 @@ int cmd_plan(const cli::Options& args) {
            {"hw", "hw"},
            {"heuristic", "heuristic"},
            {"approach", "approach"},
-           {"sweep-threads", "sweep_threads"},
-           {"quotient", "quotient"}}) {
+           {"sweep-threads", "sweep_threads"}}) {
     forward(args, cli_name, param_name, payload);
   }
   const serve::QueryResult result =

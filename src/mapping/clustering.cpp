@@ -31,15 +31,9 @@ std::string join_names(const SwGraph& sw,
 }  // namespace
 
 void ClusterEngine::QuotientCache::reset(const SwGraph& sw,
-                                         const graph::Partition& partition,
-                                         bool incremental) {
+                                         const graph::Partition& partition) {
   sw_ = &sw;
-  incremental_ = incremental;
   bundles_.clear();
-  stats_.invalidations += combined_.size();
-  FCM_OBS_COUNT("quotient_cache.invalidations", combined_.size());
-  combined_.clear();
-  memo_keys_by_rep_.clear();
   adjacency_.clear();
   bundle_pool_.clear();
   // Representative of each cluster: its smallest member node index.
@@ -93,8 +87,10 @@ std::vector<std::uint32_t> ClusterEngine::QuotientCache::fresh_bundle() {
   return bundle;
 }
 
-double ClusterEngine::QuotientCache::combine(std::uint64_t key) const {
-  const auto it = bundles_.find(key);
+double ClusterEngine::QuotientCache::directed(graph::NodeIndex rep_from,
+                                              graph::NodeIndex rep_to) const {
+  const auto it =
+      bundles_.find((static_cast<std::uint64_t>(rep_from) << 32) | rep_to);
   if (it == bundles_.end()) return 0.0;
   // Eq. 4 over the crossing edges, multiplying complements in ascending
   // edge order — the exact operation order of combine_probabilistic over
@@ -105,95 +101,9 @@ double ClusterEngine::QuotientCache::combine(std::uint64_t key) const {
   return std::clamp(1.0 - none, 0.0, 1.0);
 }
 
-double ClusterEngine::QuotientCache::directed(graph::NodeIndex rep_from,
-                                              graph::NodeIndex rep_to,
-                                              bool memoize) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(rep_from) << 32) | rep_to;
-  if (!memoize) return combine(key);
-  if (const auto it = combined_.find(key); it != combined_.end()) {
-    ++stats_.hits;
-    FCM_OBS_COUNT("quotient_cache.hits", 1);
-    return it->second;
-  }
-  ++stats_.misses;
-  FCM_OBS_COUNT("quotient_cache.misses", 1);
-  const double value = combine(key);
-  combined_.emplace(key, value);
-  memo_keys_by_rep_[rep_from].push_back(key);
-  memo_keys_by_rep_[rep_to].push_back(key);
-  return value;
-}
-
 double ClusterEngine::QuotientCache::mutual(graph::NodeIndex rep_a,
-                                            graph::NodeIndex rep_b,
-                                            bool memoize) {
-  return directed(rep_a, rep_b, memoize) + directed(rep_b, rep_a, memoize);
-}
-
-void ClusterEngine::QuotientCache::merge(graph::NodeIndex rep_a,
-                                         graph::NodeIndex rep_b) {
-  const graph::NodeIndex merged = std::min(rep_a, rep_b);
-  if (incremental_) {
-    FCM_OBS_COUNT("quotient_cache.delta_merges", 1);
-    merge_incremental(rep_a, rep_b, merged);
-  } else {
-    FCM_OBS_COUNT("quotient_cache.rebuild_merges", 1);
-    merge_scan_all(rep_a, rep_b, merged);
-  }
-  update_adjacency_after_merge(rep_a, rep_b, merged);
-  // Drop memo entries involving either input (the merged cluster reuses
-  // rep == min(rep_a, rep_b), so its stale values are covered too). Every
-  // memo entry was indexed under both endpoints at insertion, so the two
-  // reps' key lists cover exactly the entries a full memo scan would find;
-  // keys already invalidated through the other endpoint erase as no-ops.
-  for (const graph::NodeIndex rep : {rep_a, rep_b}) {
-    const auto keys = memo_keys_by_rep_.find(rep);
-    if (keys == memo_keys_by_rep_.end()) continue;
-    for (const std::uint64_t key : keys->second) {
-      const std::size_t erased = combined_.erase(key);
-      stats_.invalidations += erased;
-      FCM_OBS_COUNT("quotient_cache.invalidations", erased);
-    }
-    memo_keys_by_rep_.erase(keys);
-  }
-}
-
-void ClusterEngine::QuotientCache::merge_scan_all(graph::NodeIndex rep_a,
-                                                  graph::NodeIndex rep_b,
-                                                  graph::NodeIndex merged) {
-  // Re-bucket every bundle touching either input cluster; edges between
-  // the two become internal and disappear.
-  auto& moved = moved_scratch_;
-  moved.clear();
-  for (auto it = bundles_.begin(); it != bundles_.end();) {
-    const auto from = static_cast<graph::NodeIndex>(it->first >> 32);
-    const auto to = static_cast<graph::NodeIndex>(it->first & 0xFFFFFFFFu);
-    const bool from_hit = from == rep_a || from == rep_b;
-    const bool to_hit = to == rep_a || to == rep_b;
-    if (!from_hit && !to_hit) {
-      ++it;
-      continue;
-    }
-    if (!(from_hit && to_hit)) {  // edges inside the union just vanish
-      const graph::NodeIndex new_from = from_hit ? merged : from;
-      const graph::NodeIndex new_to = to_hit ? merged : to;
-      moved.emplace_back(
-          (static_cast<std::uint64_t>(new_from) << 32) | new_to,
-          std::move(it->second));
-    } else {
-      recycle(std::move(it->second));
-    }
-    it = bundles_.erase(it);
-  }
-  for (auto& [key, indices] : moved) {
-    auto& bundle = bundles_[key];
-    bundle.insert(bundle.end(), indices.begin(), indices.end());
-    // Two clusters' bundles may both feed one target pair; restore the
-    // canonical ascending edge order a fresh rebuild would produce.
-    std::sort(bundle.begin(), bundle.end());
-    recycle(std::move(indices));
-  }
+                                            graph::NodeIndex rep_b) const {
+  return directed(rep_a, rep_b) + directed(rep_b, rep_a);
 }
 
 void ClusterEngine::QuotientCache::fold_bundle_into(std::uint64_t key,
@@ -218,13 +128,13 @@ void ClusterEngine::QuotientCache::fold_bundle_into(std::uint64_t key,
   slot->second = std::move(folded);
 }
 
-void ClusterEngine::QuotientCache::merge_incremental(graph::NodeIndex rep_a,
-                                                     graph::NodeIndex rep_b,
-                                                     graph::NodeIndex merged) {
+void ClusterEngine::QuotientCache::merge(graph::NodeIndex rep_a,
+                                         graph::NodeIndex rep_b) {
+  FCM_OBS_COUNT("quotient_cache.delta_merges", 1);
+  const graph::NodeIndex merged = std::min(rep_a, rep_b);
   // Delta update: only bundles adjacent to the two input clusters can be
   // affected, and the neighbor index knows exactly which those are — no
-  // scan over the remaining bundles. Identical post-state to
-  // merge_scan_all (differentially tested).
+  // scan over the remaining bundles.
   auto& affected = affected_scratch_;
   affected.clear();
   for (const graph::NodeIndex rep : {rep_a, rep_b}) {
@@ -254,6 +164,7 @@ void ClusterEngine::QuotientCache::merge_incremental(graph::NodeIndex rep_a,
     fold_bundle_into((static_cast<std::uint64_t>(c) << 32) | other,
                      (static_cast<std::uint64_t>(c) << 32) | merged);
   }
+  update_adjacency_after_merge(rep_a, rep_b, merged);
 }
 
 void ClusterEngine::QuotientCache::update_adjacency_after_merge(
@@ -343,6 +254,7 @@ bool ClusterEngine::members_schedulable(
 
 bool ClusterEngine::resources_hostable(
     const std::vector<graph::NodeIndex>& members) const {
+  if (!options_.resource_check) return true;
   std::set<std::string> combined;
   for (const graph::NodeIndex v : members) {
     const auto& req = sw_->node(v).attributes.required_resources;
@@ -369,21 +281,10 @@ bool ClusterEngine::can_combine(const graph::Partition& partition,
       if (sw_->replicas(a, b)) return false;
     }
   }
-  if (options_.resource_check) {
-    std::set<std::string> combined;
-    for (const graph::NodeIndex v : a_members) {
-      const auto& req = sw_->node(v).attributes.required_resources;
-      combined.insert(req.begin(), req.end());
-    }
-    for (const graph::NodeIndex v : b_members) {
-      const auto& req = sw_->node(v).attributes.required_resources;
-      combined.insert(req.begin(), req.end());
-    }
-    if (!combined.empty() && !options_.resource_check(combined)) return false;
-  }
-  if (!options_.enforce_schedulability) return true;
-  std::vector<graph::NodeIndex> all = a_members;
+  std::vector<graph::NodeIndex> all = std::move(a_members);
   all.insert(all.end(), b_members.begin(), b_members.end());
+  if (!resources_hostable(all)) return false;
+  if (!options_.enforce_schedulability) return true;
   return members_schedulable(all);
 }
 
@@ -439,20 +340,10 @@ ClusteringResult ClusterEngine::finish(graph::Partition partition,
 ClusteringResult ClusterEngine::h1_greedy() {
   graph::Partition partition =
       graph::Partition::identity(sw_->node_count());
-  quotient_cache_.reset(*sw_, partition, options_.incremental_quotient);
+  quotient_cache_.reset(*sw_, partition);
   std::vector<std::string> steps;
-  greedy_merge_to_target(partition, steps, GreedyStepStyle::kCombine);
+  greedy_merge(partition, steps, GreedyStepStyle::kCombine);
   return finish(std::move(partition), std::move(steps));
-}
-
-void ClusterEngine::greedy_merge_to_target(graph::Partition& partition,
-                                           std::vector<std::string>& steps,
-                                           GreedyStepStyle style) {
-  if (options_.use_pair_heap) {
-    greedy_merge_heap(partition, steps, style);
-  } else {
-    greedy_merge_scan(partition, steps, style);
-  }
 }
 
 void ClusterEngine::throw_no_combinable_pair(
@@ -480,55 +371,23 @@ std::string ClusterEngine::greedy_step_text(GreedyStepStyle style,
   return step.str();
 }
 
-void ClusterEngine::greedy_merge_scan(graph::Partition& partition,
-                                      std::vector<std::string>& steps,
-                                      GreedyStepStyle style) {
-  const bool memo = options_.use_influence_cache;
-  while (partition.cluster_count > options_.target_clusters) {
-    const auto groups = partition.groups();
-    double best = -1.0;
-    std::uint32_t best_a = 0, best_b = 0;
-    for (std::uint32_t a = 0; a < partition.cluster_count; ++a) {
-      for (std::uint32_t b = a + 1; b < partition.cluster_count; ++b) {
-        const double m = quotient_cache_.mutual(groups[a].front(),
-                                                groups[b].front(), memo);
-        if (m > best && can_combine(partition, a, b)) {
-          best = m;
-          best_a = a;
-          best_b = b;
-        }
-      }
-    }
-    if (best < 0.0) throw_no_combinable_pair(partition, style);
-    if (options_.log_steps) {
-      steps.push_back(greedy_step_text(style,
-                                       join_names(*sw_, groups[best_a]),
-                                       join_names(*sw_, groups[best_b]),
-                                       best));
-    }
-    quotient_cache_.merge(groups[best_a].front(), groups[best_b].front());
-    partition.merge(groups[best_a].front(), groups[best_b].front());
-  }
-}
-
-void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
-                                      std::vector<std::string>& steps,
-                                      GreedyStepStyle style) {
+void ClusterEngine::greedy_merge(graph::Partition& partition,
+                                 std::vector<std::string>& steps,
+                                 GreedyStepStyle style) {
   // Lazy-deletion max-heap over candidate cluster pairs, keyed by mutual
   // influence. Clusters are identified by their representative (smallest
   // member node index) — stable under merging — plus a version stamp bumped
   // whenever the cluster's membership changes, so superseded entries are
   // recognized and dropped on pop instead of being searched for.
   //
-  // Selection equivalence with the scan: cluster indices are ordered by
-  // smallest member (Partition::merge keeps the lower index and shifts the
-  // rest down), so ordering ties by ascending (rep_a, rep_b) reproduces the
-  // scan's first-wins tie break over ascending (a, b); a popped pair that
-  // fails can_combine is discarded for good because combinability depends
-  // only on the two clusters' members, and any later membership change
+  // Selection equivalence with the textbook O(k²) rescan (the test-tree
+  // reference oracle): cluster indices are ordered by smallest member
+  // (Partition::merge keeps the lower index and shifts the rest down), so
+  // ordering ties by ascending (rep_a, rep_b) reproduces the rescan's
+  // first-wins tie break over ascending (a, b); a popped pair that fails
+  // can_combine is discarded for good because combinability depends only
+  // on the two clusters' members, and any later membership change
   // reinserts the pair with fresh stamps.
-  const bool memo = options_.use_influence_cache;
-  const bool incremental = options_.incremental_quotient;
   FCM_OBS_SPAN("h1.greedy_merge");
   // Local tallies flushed once at the end: the merge loop is sequential, so
   // one registry call per run costs nothing on the pop path.
@@ -554,38 +413,28 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
     version.emplace(members.front(), 0);
   }
   // Last known exact mutual value per live positive pair, keyed
-  // (lo << 32 | hi) by representatives (incremental mode only). When a
-  // merge leaves a neighbor's edge bundle untouched — the neighbor was
-  // adjacent to only one of the two merged clusters, so the fold just
-  // re-keys its bundle — the pair's mutual value is bitwise unchanged and
-  // is inherited from here instead of re-running the Eq. 4 product.
+  // (lo << 32 | hi) by representatives. When a merge leaves a neighbor's
+  // edge bundle untouched — the neighbor was adjacent to only one of the
+  // two merged clusters, so the fold just re-keys its bundle — the pair's
+  // mutual value is bitwise unchanged and is inherited from here instead
+  // of re-running the Eq. 4 product.
   std::unordered_map<std::uint64_t, double> pair_value;
   const auto pair_key = [](graph::NodeIndex lo, graph::NodeIndex hi) {
     return (static_cast<std::uint64_t>(lo) << 32) | hi;
   };
 
+  // Seed only pairs sharing at least one crossing influence edge with
+  // positive combined influence — every other pair is exactly 0.0 and is
+  // reached through the zero-mutual fallback below once the heap drains.
+  // At scale this is O(edges) candidates instead of O(clusters²).
   std::vector<Candidate> heap;
-  if (incremental) {
-    // Seed only pairs sharing at least one crossing influence edge with
-    // positive combined influence — every other pair is exactly 0.0 and is
-    // reached through the zero-mutual fallback below once the heap drains.
-    // At scale this is O(edges) candidates instead of O(clusters²).
-    for (const graph::NodeIndex a : reps) {
-      for (const graph::NodeIndex b : quotient_cache_.neighbors(a)) {
-        if (b <= a) continue;
-        const double m = quotient_cache_.mutual(a, b, memo);
-        if (m > 0.0) {
-          heap.push_back({m, a, b, 0, 0});
-          pair_value.emplace(pair_key(a, b), m);
-        }
-      }
-    }
-  } else {
-    heap.reserve(reps.size() * (reps.size() - 1) / 2);
-    for (std::size_t a = 0; a < reps.size(); ++a) {
-      for (std::size_t b = a + 1; b < reps.size(); ++b) {
-        heap.push_back({quotient_cache_.mutual(reps[a], reps[b], memo),
-                        reps[a], reps[b], 0, 0});
+  for (const graph::NodeIndex a : reps) {
+    for (const graph::NodeIndex b : quotient_cache_.neighbors(a)) {
+      if (b <= a) continue;
+      const double m = quotient_cache_.mutual(a, b);
+      if (m > 0.0) {
+        heap.push_back({m, a, b, 0, 0});
+        pair_value.emplace(pair_key(a, b), m);
       }
     }
   }
@@ -603,66 +452,51 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
           join_names(*sw_, groups[partition.cluster_of[rep_b]]),
           mutual_value));
     }
-    if (incremental) {
-      // Snapshot both adjacency lists before the cache merge folds them.
-      na_scratch = quotient_cache_.neighbors(rep_a);
-      nb_scratch = quotient_cache_.neighbors(rep_b);
-    }
+    // Snapshot both adjacency lists before the cache merge folds them.
+    na_scratch = quotient_cache_.neighbors(rep_a);
+    nb_scratch = quotient_cache_.neighbors(rep_b);
     quotient_cache_.merge(rep_a, rep_b);
     partition.merge(rep_a, rep_b);
     const graph::NodeIndex merged = std::min(rep_a, rep_b);
     version.erase(std::max(rep_a, rep_b));
     const std::uint64_t merged_version = ++version[merged];
-    // Only pairs touching the merged cluster need fresh influence values.
-    if (incremental) {
-      // And of those, only its bundle-neighbors can be positive; the
-      // neighbor index (already folded by the cache merge above) lists
-      // exactly those, ascending. A neighbor of only one merged side keeps
-      // a bitwise-identical bundle, so its mutual value is inherited; only
-      // neighbors of both sides get a fresh Eq. 4 evaluation.
-      pair_value.erase(pair_key(merged, std::max(rep_a, rep_b)));
-      for (const graph::NodeIndex c : quotient_cache_.neighbors(merged)) {
-        const bool in_a = std::binary_search(na_scratch.begin(),
-                                             na_scratch.end(), c);
-        const bool in_b = std::binary_search(nb_scratch.begin(),
-                                             nb_scratch.end(), c);
-        const std::uint64_t key_a =
-            pair_key(std::min(rep_a, c), std::max(rep_a, c));
-        const std::uint64_t key_b =
-            pair_key(std::min(rep_b, c), std::max(rep_b, c));
-        const graph::NodeIndex lo = std::min(c, merged);
-        const graph::NodeIndex hi = std::max(c, merged);
-        double m = 0.0;
-        if (in_a && in_b) {
-          m = quotient_cache_.mutual(lo, hi, memo);
-          ++recomputes;
-        } else {
-          const auto it = pair_value.find(in_a ? key_a : key_b);
-          m = it == pair_value.end() ? 0.0 : it->second;
-          ++inherits;
-        }
-        pair_value.erase(key_a);
-        pair_value.erase(key_b);
-        if (m <= 0.0) continue;
-        pair_value.emplace(pair_key(lo, hi), m);
-        heap.push_back({m, lo, hi,
-                        lo == merged ? merged_version
-                                     : version.find(lo)->second,
-                        hi == merged ? merged_version
-                                     : version.find(hi)->second});
-        std::push_heap(heap.begin(), heap.end(), worse);
-      }
-    } else {
-      for (const auto& [rep, ver] : version) {
-        if (rep == merged) continue;
-        const graph::NodeIndex lo = std::min(rep, merged);
-        const graph::NodeIndex hi = std::max(rep, merged);
-        heap.push_back({quotient_cache_.mutual(lo, hi, memo), lo, hi,
-                        lo == merged ? merged_version : ver,
-                        hi == merged ? merged_version : ver});
-        std::push_heap(heap.begin(), heap.end(), worse);
+    // Only pairs touching the merged cluster need fresh influence values,
+    // and of those, only its bundle-neighbors can be positive; the
+    // neighbor index (already folded by the cache merge above) lists
+    // exactly those, ascending. A neighbor of only one merged side keeps
+    // a bitwise-identical bundle, so its mutual value is inherited; only
+    // neighbors of both sides get a fresh Eq. 4 evaluation.
+    pair_value.erase(pair_key(merged, std::max(rep_a, rep_b)));
+    for (const graph::NodeIndex c : quotient_cache_.neighbors(merged)) {
+      const bool in_a = std::binary_search(na_scratch.begin(),
+                                           na_scratch.end(), c);
+      const bool in_b = std::binary_search(nb_scratch.begin(),
+                                           nb_scratch.end(), c);
+      const std::uint64_t key_a =
+          pair_key(std::min(rep_a, c), std::max(rep_a, c));
+      const std::uint64_t key_b =
+          pair_key(std::min(rep_b, c), std::max(rep_b, c));
+      const graph::NodeIndex lo = std::min(c, merged);
+      const graph::NodeIndex hi = std::max(c, merged);
+      double m = 0.0;
+      if (in_a && in_b) {
+        m = quotient_cache_.mutual(lo, hi);
         ++recomputes;
+      } else {
+        const auto it = pair_value.find(in_a ? key_a : key_b);
+        m = it == pair_value.end() ? 0.0 : it->second;
+        ++inherits;
       }
+      pair_value.erase(key_a);
+      pair_value.erase(key_b);
+      if (m <= 0.0) continue;
+      pair_value.emplace(pair_key(lo, hi), m);
+      heap.push_back({m, lo, hi,
+                      lo == merged ? merged_version
+                                   : version.find(lo)->second,
+                      hi == merged ? merged_version
+                                   : version.find(hi)->second});
+      std::push_heap(heap.begin(), heap.end(), worse);
     }
     ++merges;
   };
@@ -670,7 +504,7 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
   // Every remaining combinable pair has mutual influence exactly 0.0 once
   // the heap drains (positive pairs are heap-resident until popped, and a
   // popped pair that failed can_combine stays uncombinable until one of
-  // its clusters changes, which re-inserts it). The scan reference would
+  // its clusters changes, which re-inserts it). The textbook rescan would
   // pick the first combinable pair in ascending cluster-index order —
   // cluster indices are ordered by representative, so scanning sorted live
   // representatives reproduces that choice.
@@ -714,7 +548,7 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
       merged_one = true;
       break;
     }
-    if (!merged_one && incremental) merged_one = zero_mutual_fallback();
+    if (!merged_one) merged_one = zero_mutual_fallback();
     if (!merged_one) throw_no_combinable_pair(partition, style);
   }
   FCM_OBS_COUNT("h1.heap.pops", pops);
@@ -728,8 +562,7 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
 ClusteringResult ClusterEngine::h1_rounds() {
   graph::Partition partition =
       graph::Partition::identity(sw_->node_count());
-  quotient_cache_.reset(*sw_, partition, options_.incremental_quotient);
-  const bool memo = options_.use_influence_cache;
+  quotient_cache_.reset(*sw_, partition);
   std::vector<std::string> steps;
   int round = 0;
   while (partition.cluster_count > options_.target_clusters) {
@@ -743,9 +576,9 @@ ClusteringResult ClusterEngine::h1_rounds() {
     std::vector<Pair> pairs;
     for (std::uint32_t a = 0; a < partition.cluster_count; ++a) {
       for (std::uint32_t b = a + 1; b < partition.cluster_count; ++b) {
-        pairs.push_back({quotient_cache_.mutual(groups[a].front(),
-                                                groups[b].front(), memo),
-                         a, b});
+        pairs.push_back(
+            {quotient_cache_.mutual(groups[a].front(), groups[b].front()), a,
+             b});
       }
     }
     std::sort(pairs.begin(), pairs.end(), [](const Pair& x, const Pair& y) {
@@ -888,11 +721,8 @@ ClusteringResult ClusterEngine::h1_hierarchical() {
   FCM_REQUIRE(options_.target_clusters <= n,
               "more clusters requested than SW nodes");
   constexpr std::size_t kNodesPerPart = 96;
-  const std::size_t parts_wanted =
-      options_.hierarchy_parts > 0
-          ? options_.hierarchy_parts
-          : std::clamp<std::size_t>(n / kNodesPerPart, std::size_t{1},
-                                    options_.target_clusters);
+  const std::size_t parts_wanted = std::clamp<std::size_t>(
+      n / kNodesPerPart, std::size_t{1}, options_.target_clusters);
   if (parts_wanted <= 1) return h1_greedy();
   FCM_OBS_SPAN("h1.hierarchical");
 
@@ -951,7 +781,6 @@ ClusteringResult ClusterEngine::h1_hierarchical() {
           const SwGraph sub = sw_->subset(parts[b]);
           ClusteringOptions local = options_;
           local.threads = 1;
-          local.hierarchy_parts = 1;
           // An infeasible local target is relaxed upward; at target ==
           // part size H1 performs no merges, so the loop always lands.
           for (std::size_t t = target[b];; ++t) {
@@ -1003,8 +832,8 @@ ClusteringResult ClusterEngine::h1_hierarchical() {
       }
     }
   }
-  quotient_cache_.reset(*sw_, partition, options_.incremental_quotient);
-  greedy_merge_to_target(partition, steps, GreedyStepStyle::kCombine);
+  quotient_cache_.reset(*sw_, partition);
+  greedy_merge(partition, steps, GreedyStepStyle::kCombine);
   return finish(std::move(partition), std::move(steps));
 }
 
@@ -1065,7 +894,7 @@ ClusteringResult ClusterEngine::h2_driver(
         if (sw_->replicas(part[i], part[j])) return false;
       }
     }
-    if (options_.resource_check && !resources_hostable(part)) return false;
+    if (!resources_hostable(part)) return false;
     if (!options_.enforce_schedulability) return true;
     return members_schedulable(part);
   };
@@ -1128,8 +957,8 @@ ClusteringResult ClusterEngine::h2_driver(
       partition.merge(part[0], part[k]);
     }
   }
-  quotient_cache_.reset(*sw_, partition, options_.incremental_quotient);
-  greedy_merge_to_target(partition, steps, GreedyStepStyle::kRepairMerge);
+  quotient_cache_.reset(*sw_, partition);
+  greedy_merge(partition, steps, GreedyStepStyle::kRepairMerge);
   return finish(std::move(partition), std::move(steps));
 }
 
@@ -1159,8 +988,7 @@ ClusteringResult ClusterEngine::h3_importance(double importance_threshold,
   }
 
   graph::Partition partition = graph::Partition::identity(n);
-  quotient_cache_.reset(*sw_, partition, options_.incremental_quotient);
-  const bool memo = options_.use_influence_cache;
+  quotient_cache_.reset(*sw_, partition);
   // Attach non-seeds (most important first) to their best seed cluster.
   for (std::size_t k = options_.target_clusters; k < n; ++k) {
     const graph::NodeIndex v = order[k];
@@ -1173,7 +1001,7 @@ ClusteringResult ClusterEngine::h3_importance(double importance_threshold,
       const std::uint32_t c = partition.cluster_of[s];
       if (c == v_cluster) continue;
       const double m = quotient_cache_.mutual(groups[v_cluster].front(),
-                                              groups[c].front(), memo);
+                                              groups[c].front());
       const bool admitted =
           sw_->node(v).importance < importance_threshold ||
           m > influence_threshold;
@@ -1371,9 +1199,7 @@ ClusteringResult ClusterEngine::timing_ordered(OrderKey key,
     }
     std::vector<graph::NodeIndex> combined = bin;
     combined.push_back(v);
-    if (options_.resource_check && !resources_hostable(combined)) {
-      return false;
-    }
+    if (!resources_hostable(combined)) return false;
     if (!options_.enforce_schedulability) return true;
     return members_schedulable(combined);
   };

@@ -78,9 +78,6 @@ Plan IntegrationPlanner::plan_with(Heuristic heuristic, Approach approach,
   ClusteringOptions copts;
   copts.target_clusters = hw_->node_count();
   copts.policy = options_.policy;
-  copts.threads = options_.cluster_threads;
-  copts.incremental_quotient = options_.incremental_quotient;
-  copts.hierarchy_parts = options_.hierarchy_parts;
   copts.resource_check = [hw = hw_](const std::set<std::string>& required) {
     for (const HwNode& node : hw->nodes()) {
       if (std::includes(node.resources.begin(), node.resources.end(),

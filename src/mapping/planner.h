@@ -67,17 +67,6 @@ struct PlanOptions {
   /// strictly-greater score rule, so the chosen plan is identical for
   /// every thread count.
   std::uint32_t sweep_threads = 1;
-  /// Worker threads for the per-part runs of kH1Hierarchical
-  /// (0 = FCM_THREADS / hardware concurrency). Plans are bitwise identical
-  /// for every value.
-  std::uint32_t cluster_threads = 0;
-  /// Quotient maintenance mode for the greedy merge loops (see
-  /// ClusteringOptions::incremental_quotient). Both settings produce
-  /// bitwise-identical plans; `false` is the full-rebuild reference the CI
-  /// differential gate compares against.
-  bool incremental_quotient = true;
-  /// Part count for kH1Hierarchical (0 = auto).
-  std::size_t hierarchy_parts = 0;
 };
 
 /// Plans the integration of `processes` onto `hw`.

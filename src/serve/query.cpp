@@ -132,18 +132,6 @@ int hw_nodes(const cli::Options& params) {
   return hw;
 }
 
-/// quotient=incremental|rebuild selects the planner's quotient maintenance
-/// mode (PlanOptions::incremental_quotient). Both modes produce
-/// byte-identical plans; exposing the switch lets CI compare them through
-/// the public surface.
-bool parse_quotient(const cli::Options& params) {
-  const std::string mode = params.get("quotient", "incremental");
-  if (mode == "incremental") return true;
-  if (mode == "rebuild") return false;
-  throw QueryError("unknown quotient mode '" + mode +
-                   "' (want incremental|rebuild)");
-}
-
 mapping::Heuristic parse_heuristic(const std::string& name) {
   if (name == "h1") return mapping::Heuristic::kH1Greedy;
   if (name == "h1r") return mapping::Heuristic::kH1Rounds;
@@ -202,10 +190,10 @@ std::vector<HwNodeId> parse_failed(const std::string& list,
 
 }  // namespace
 
-/// One model×platform resident state: the planner (whose separation/
-/// quotient memo stays warm across requests) plus every plan it has
-/// computed. `mutex` serializes planning; evaluation of a cached plan
-/// runs outside the lock.
+/// One model×platform resident state: the planner (whose separation
+/// memo stays warm across requests) plus every plan it has computed.
+/// `mutex` serializes planning; evaluation of a cached plan runs outside
+/// the lock.
 struct QueryEngine::PlatformState {
   mapping::HwGraph hw;
   mapping::IntegrationPlanner planner;
@@ -215,16 +203,14 @@ struct QueryEngine::PlatformState {
   PlatformState(const core::FcmHierarchy& hierarchy,
                 const core::InfluenceModel& influence,
                 std::vector<FcmId> processes, int nodes,
-                std::uint32_t sweep_threads, bool incremental_quotient)
+                std::uint32_t sweep_threads)
       : hw(mapping::HwGraph::complete(nodes)),
         planner(hierarchy, influence, std::move(processes), hw,
-                make_options(sweep_threads, incremental_quotient)) {}
+                make_options(sweep_threads)) {}
 
-  static mapping::PlanOptions make_options(std::uint32_t sweep_threads,
-                                           bool incremental_quotient) {
+  static mapping::PlanOptions make_options(std::uint32_t sweep_threads) {
     mapping::PlanOptions options;
     options.sweep_threads = sweep_threads;
-    options.incremental_quotient = incremental_quotient;
     return options;
   }
 
@@ -252,27 +238,26 @@ struct QueryEngine::PlatformState {
 QueryEngine::QueryEngine() : instance_(core::example98::make_instance()) {}
 QueryEngine::~QueryEngine() = default;
 
-QueryEngine::PlatformState& QueryEngine::platform(
-    const std::string& model, int hw, bool incremental_quotient) {
+QueryEngine::PlatformState& QueryEngine::platform(const std::string& model,
+                                                  int hw) {
   const std::lock_guard<std::mutex> lock(platforms_mutex_);
-  const auto key = std::make_tuple(model, hw, incremental_quotient);
+  const auto key = std::make_pair(model, hw);
   auto it = platforms_.find(key);
   if (it == platforms_.end()) {
     std::unique_ptr<PlatformState> state;
     std::size_t n = 0;
     std::uint64_t seed = 0;
     if (parse_synthetic(model, &n, &seed)) {
-      // Generated fresh per (model, hw, quotient) platform; the planner's
+      // Generated fresh per (model, hw) platform; the planner's
       // SwGraph keeps everything it needs, so the System itself is
       // transient.
       const core::synthetic::System sys = core::synthetic::make_system(n, seed);
       state = std::make_unique<PlatformState>(sys.hierarchy, sys.influence,
-                                              sys.processes, hw, /*sweep=*/0,
-                                              incremental_quotient);
+                                              sys.processes, hw, /*sweep=*/0);
     } else {
       state = std::make_unique<PlatformState>(
           instance_.hierarchy, instance_.influence, instance_.processes, hw,
-          /*sweep=*/0, incremental_quotient);
+          /*sweep=*/0);
     }
     it = platforms_.emplace(key, std::move(state)).first;
   }
@@ -346,11 +331,9 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
 
     case protocol::Opcode::kMapping: {
       const cli::Options params = parse_params(
-          payload, {"model", "hw", "heuristic", "approach", "sweep_threads",
-                    "quotient"});
+          payload, {"model", "hw", "heuristic", "approach", "sweep_threads"});
       const std::string model = model_name(params);
       const int hw = hw_nodes(params);
-      const bool incremental = parse_quotient(params);
       const mapping::Approach approach =
           parse_approach(params.get("approach", "a"));
       const std::string heuristic = params.get("heuristic", "best");
@@ -359,7 +342,7 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
       // resident planner caches plans instead, so only the value's shape
       // matters here (the plan bytes are thread-invariant either way).
       as_query_error([&] { return params.get_int("sweep_threads", 0); });
-      PlatformState& state = platform(model, hw, incremental);
+      PlatformState& state = platform(model, hw);
       const mapping::Plan& plan = state.plan_for(heuristic, approach);
       return {plan.report(state.planner.sw_graph(), state.hw),
               plan.quality.constraints_satisfied()};
@@ -370,7 +353,7 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
           payload, {"model", "hw", "q", "trials", "threads"});
       check_model(params);
       const int hw = hw_nodes(params);
-      PlatformState& state = platform("example98", hw, true);
+      PlatformState& state = platform("example98", hw);
       const mapping::Plan& plan =
           state.plan_for("best", mapping::Approach::kAImportance);
       dependability::MissionModel mission;
@@ -408,7 +391,7 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
           payload, {"model", "hw", "fail", "heuristic", "approach"});
       check_model(params);
       const int hw = hw_nodes(params);
-      PlatformState& state = platform("example98", hw, true);
+      PlatformState& state = platform("example98", hw);
       const mapping::Approach approach =
           parse_approach(params.get("approach", "a"));
       const mapping::Plan& plan =
@@ -428,7 +411,7 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
                     "anneal", "seed"});
       const std::string model = model_name(params);
       const int hw = hw_nodes(params);
-      PlatformState& state = platform(model, hw, true);
+      PlatformState& state = platform(model, hw);
       const mapping::Plan& plan =
           state.plan_for("best", mapping::Approach::kAImportance);
       resilience::AdversaryOptions options;
@@ -469,7 +452,7 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
                     "levels", "seed"});
       const std::string model = model_name(params);
       const int hw = hw_nodes(params);
-      PlatformState& state = platform(model, hw, true);
+      PlatformState& state = platform(model, hw);
       const mapping::Plan& plan =
           state.plan_for("best", mapping::Approach::kAImportance);
       resilience::RareEventOptions options;

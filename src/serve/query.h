@@ -6,7 +6,7 @@
 // semantics:
 //
 //   * a plan cache per model×platform — the `IntegrationPlanner` (and its
-//     separation/quotient memo) is built once and every computed `Plan` is
+//     separation memo) is built once and every computed `Plan` is
 //     kept, so the heuristic sweep runs once per distinct (hw, heuristic,
 //     approach) instead of once per request;
 //   * a response memo keyed on the exact (opcode, payload) pair — every
@@ -32,7 +32,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <tuple>
+#include <utility>
 
 #include "common/error.h"
 #include "core/example98.h"
@@ -83,9 +83,8 @@ class QueryEngine {
   [[nodiscard]] MemoStats memo_stats() const;
 
  private:
-  struct PlatformState;  // one model×hw×quotient-mode: planner + plan cache
-  [[nodiscard]] PlatformState& platform(const std::string& model, int hw,
-                                        bool incremental_quotient);
+  struct PlatformState;  // one model×hw: planner + plan cache
+  [[nodiscard]] PlatformState& platform(const std::string& model, int hw);
   [[nodiscard]] QueryResult evaluate(protocol::Opcode opcode,
                                      std::string_view payload);
 
@@ -93,8 +92,7 @@ class QueryEngine {
   /// on first use and live inside their PlatformState's planner.
   core::example98::Instance instance_;
   std::mutex platforms_mutex_;
-  std::map<std::tuple<std::string, int, bool>,
-           std::unique_ptr<PlatformState>>
+  std::map<std::pair<std::string, int>, std::unique_ptr<PlatformState>>
       platforms_;
 
   mutable std::mutex memo_mutex_;

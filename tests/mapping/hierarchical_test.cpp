@@ -1,13 +1,14 @@
 // Tests for hierarchical H1 (partition → cluster within parts in parallel →
 // merge across parts). The determinism contract is the load-bearing part:
-// bitwise-identical results for every worker-thread count, for one part vs
-// many, and for incremental vs rebuild quotient maintenance; plus the
-// zero-mutual fallback differential that pins the incremental heap to the
-// scan reference on disconnected influence graphs.
+// bitwise-identical results for every worker-thread count and for one part
+// vs flat H1; the final merge across parts and flat H1 must match the
+// reference oracle's rescan over a from-scratch quotient, including the
+// zero-mutual fallback the heap takes on disconnected influence graphs.
 #include "mapping/clustering.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "core/example98.h"
 #include "core/synthetic.h"
 #include "mapping/planner.h"
+#include "reference_oracles.h"
 
 namespace fcm::mapping {
 namespace {
@@ -23,6 +25,38 @@ void expect_identical(const ClusteringResult& a, const ClusteringResult& b) {
   EXPECT_EQ(a.partition.cluster_count, b.partition.cluster_count);
   EXPECT_EQ(a.partition.cluster_of, b.partition.cluster_of);
   EXPECT_EQ(a.steps, b.steps);
+}
+
+void expect_matches_oracle(const ClusteringResult& result,
+                           const oracle::MergeRun& run) {
+  EXPECT_EQ(result.partition.cluster_count, run.partition.cluster_count);
+  EXPECT_EQ(result.partition.cluster_of, run.partition.cluster_of);
+  EXPECT_EQ(result.steps, run.steps);
+  EXPECT_EQ(result.cross_cluster_influence(), run.cross_influence);
+}
+
+// The partition hierarchical H1 composes from its per-part runs: every
+// "part i: combine A + B (...)" step joins the clusters holding the first
+// members of A and B (comma-joined member names).
+graph::Partition composed_partition(const SwGraph& sw,
+                                    const std::vector<std::string>& steps) {
+  std::map<std::string, graph::NodeIndex> index_of;
+  for (graph::NodeIndex v = 0; v < sw.node_count(); ++v) {
+    index_of.emplace(sw.node(v).name, v);
+  }
+  const auto first_member = [&](const std::string& step, std::size_t from) {
+    return index_of.at(
+        step.substr(from, step.find_first_of(", ", from) - from));
+  };
+  graph::Partition partition = graph::Partition::identity(sw.node_count());
+  for (const std::string& step : steps) {
+    const std::size_t combine = step.find(": combine ");
+    if (combine == std::string::npos) continue;  // not a per-part merge
+    const std::size_t plus = step.find(" + ", combine);
+    partition.merge(first_member(step, combine + 10),
+                    first_member(step, plus + 3));
+  }
+  return partition;
 }
 
 struct Scaled {
@@ -74,38 +108,50 @@ TEST(HierarchicalH1, BitwiseIdenticalAcrossWorkerCounts) {
 }
 
 TEST(HierarchicalH1, SinglePartEqualsFlatH1) {
-  const Scaled fx(128);
-  ClusteringOptions opts = fx.options(24);
-  opts.hierarchy_parts = 1;
-  ClusterEngine hierarchical(fx.sw, opts);
-  ClusterEngine flat(fx.sw, fx.options(24));
+  // Under 192 SW nodes the automatic part count (one per 96 nodes) is 1.
+  const Scaled fx(64);
+  ASSERT_LT(fx.sw.node_count(), 192u);
+  ClusterEngine hierarchical(fx.sw, fx.options(16));
+  ClusterEngine flat(fx.sw, fx.options(16));
   expect_identical(hierarchical.h1_hierarchical(), flat.h1_greedy());
 }
 
 TEST(HierarchicalH1, QuotientModesBitwiseIdentical) {
+  // The merge across parts starts from the composed per-part clusterings;
+  // rebuilt from the step log, the oracle must reproduce that phase. At
+  // target 4 the four parts' replica floors leave 12 clusters, so the
+  // phase merges eight times (at target 64 the local targets sum to the
+  // global one and it merges nothing).
   const Scaled fx(256);
-  ClusteringOptions opts = fx.options(64);
-  opts.incremental_quotient = true;
-  ClusterEngine incremental(fx.sw, opts);
-  opts.incremental_quotient = false;
-  ClusterEngine rebuild(fx.sw, opts);
-  expect_identical(incremental.h1_hierarchical(), rebuild.h1_hierarchical());
+  const ClusteringOptions opts = fx.options(4);
+  ClusterEngine engine(fx.sw, opts);
+  const ClusteringResult result = engine.h1_hierarchical();
+  ClusterEngine oracle_engine(fx.sw, opts);
+  oracle::MergeRun run = oracle::greedy_merge(
+      fx.sw, oracle_engine, composed_partition(fx.sw, result.steps),
+      opts.target_clusters, oracle::MergeStyle::kCombine);
+  ASSERT_FALSE(run.steps.empty());
+  std::vector<std::string> log;
+  for (const std::string& step : result.steps) {
+    if (step.rfind("hierarchical: ", 0) == 0 || step.rfind("part ", 0) == 0) {
+      log.push_back(step);
+    }
+  }
+  log.insert(log.end(), run.steps.begin(), run.steps.end());
+  run.steps = std::move(log);
+  expect_matches_oracle(result, run);
 }
 
 TEST(FlatH1, QuotientModesBitwiseIdentical) {
   const Scaled fx(128);
-  ClusteringOptions opts = fx.options(24);
-  opts.incremental_quotient = true;
-  ClusterEngine incremental(fx.sw, opts);
-  opts.incremental_quotient = false;
-  ClusterEngine rebuild(fx.sw, opts);
-  expect_identical(incremental.h1_greedy(), rebuild.h1_greedy());
+  const ClusteringOptions opts = fx.options(24);
+  ClusterEngine engine(fx.sw, opts);
+  expect_matches_oracle(engine.h1_greedy(), oracle::h1_greedy(fx.sw, opts));
 }
 
 // Disconnected influence components force zero-mutual merges, the one spot
-// where the incremental heap leaves the heap for its fallback scan. The
-// fallback must reproduce the scan reference's first-wins selection
-// exactly.
+// where the heap drains and the fallback scan takes over. The fallback
+// must reproduce the rescan's first-wins selection exactly.
 TEST(FlatH1, ZeroMutualFallbackMatchesScan) {
   core::FcmHierarchy hierarchy;
   core::InfluenceModel influence;
@@ -135,12 +181,8 @@ TEST(FlatH1, ZeroMutualFallbackMatchesScan) {
   ClusteringOptions opts;
   opts.target_clusters = 2;
   opts.enforce_schedulability = false;
-  opts.incremental_quotient = true;
-  opts.use_pair_heap = true;
-  ClusterEngine heap_engine(sw, opts);
-  opts.use_pair_heap = false;
-  ClusterEngine scan_engine(sw, opts);
-  expect_identical(heap_engine.h1_greedy(), scan_engine.h1_greedy());
+  ClusterEngine engine(sw, opts);
+  expect_matches_oracle(engine.h1_greedy(), oracle::h1_greedy(sw, opts));
 }
 
 TEST(HierarchicalH1, PlannerRunsHeuristicEndToEnd) {

@@ -4,6 +4,7 @@
 #include <functional>
 #include <queue>
 #include <set>
+#include <sstream>
 
 #include "common/error.h"
 #include "core/importance.h"
@@ -196,6 +197,111 @@ Placement assign(const SwGraph& sw, const ClusteringResult& clustering,
                                hw.node(assignment.hw_of[c]).name);
   }
   return out;
+}
+
+RebuiltQuotient::RebuiltQuotient(const SwGraph& sw,
+                                 const graph::Partition& partition) {
+  std::map<std::pair<std::uint32_t, std::uint32_t>, double> none;
+  for (const graph::Edge& e : sw.influence_graph().edges()) {
+    if (sw.replicas(e.from, e.to)) continue;
+    const std::uint32_t a = partition.cluster_of[e.from];
+    const std::uint32_t b = partition.cluster_of[e.to];
+    if (a == b) continue;
+    none.try_emplace({a, b}, 1.0).first->second *= 1.0 - e.weight;
+  }
+  for (const auto& [pair, product] : none) {
+    weight_.emplace(pair, std::clamp(1.0 - product, 0.0, 1.0));
+  }
+}
+
+double RebuiltQuotient::directed(std::uint32_t from, std::uint32_t to) const {
+  const auto it = weight_.find({from, to});
+  return it == weight_.end() ? 0.0 : it->second;
+}
+
+double RebuiltQuotient::mutual(std::uint32_t a, std::uint32_t b) const {
+  return directed(a, b) + directed(b, a);
+}
+
+std::vector<std::uint32_t> RebuiltQuotient::neighbors(std::uint32_t a) const {
+  std::set<std::uint32_t> out;
+  for (const auto& [pair, weight] : weight_) {
+    if (pair.first == a) out.insert(pair.second);
+    if (pair.second == a) out.insert(pair.first);
+  }
+  return {out.begin(), out.end()};
+}
+
+double RebuiltQuotient::total_weight() const {
+  double sum = 0.0;
+  for (const auto& [pair, weight] : weight_) sum += weight;
+  return sum;
+}
+
+namespace {
+
+std::string names_of(const SwGraph& sw,
+                     const std::vector<graph::NodeIndex>& members) {
+  std::string out;
+  for (const graph::NodeIndex m : members) {
+    if (!out.empty()) out += ',';
+    out += sw.node(m).name;
+  }
+  return out;
+}
+
+}  // namespace
+
+MergeRun greedy_merge(const SwGraph& sw, ClusterEngine& engine,
+                      graph::Partition start, std::size_t target,
+                      MergeStyle style) {
+  MergeRun run;
+  run.partition = std::move(start);
+  graph::Partition& partition = run.partition;
+  while (partition.cluster_count > target) {
+    const RebuiltQuotient quotient(sw, partition);
+    const auto groups = partition.groups();
+    double best = -1.0;
+    std::uint32_t best_a = 0, best_b = 0;
+    for (std::uint32_t a = 0; a < partition.cluster_count; ++a) {
+      for (std::uint32_t b = a + 1; b < partition.cluster_count; ++b) {
+        const double m = quotient.mutual(a, b);
+        if (m > best && engine.can_combine(partition, a, b)) {
+          best = m;
+          best_a = a;
+          best_b = b;
+        }
+      }
+    }
+    if (best < 0.0) {
+      if (style == MergeStyle::kRepairMerge) {
+        throw Infeasible("H2: repair phase cannot re-merge to the target");
+      }
+      throw Infeasible("H1: no combinable cluster pair remains at " +
+                       std::to_string(partition.cluster_count) +
+                       " clusters (target " + std::to_string(target) + ")");
+    }
+    std::ostringstream step;
+    if (style == MergeStyle::kCombine) {
+      step << "combine " << names_of(sw, groups[best_a]) << " + "
+           << names_of(sw, groups[best_b]) << " (mutual influence " << best
+           << ")";
+    } else {
+      step << "repair-merge " << names_of(sw, groups[best_a]) << " + "
+           << names_of(sw, groups[best_b]);
+    }
+    run.steps.push_back(step.str());
+    partition.merge(groups[best_a].front(), groups[best_b].front());
+  }
+  run.cross_influence = RebuiltQuotient(sw, partition).total_weight();
+  return run;
+}
+
+MergeRun h1_greedy(const SwGraph& sw, const ClusteringOptions& options) {
+  ClusterEngine engine(sw, options);
+  return greedy_merge(sw, engine,
+                      graph::Partition::identity(sw.node_count()),
+                      options.target_clusters, MergeStyle::kCombine);
 }
 
 }  // namespace fcm::mapping::oracle

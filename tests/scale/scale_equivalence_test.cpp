@@ -1,8 +1,8 @@
 // tier2-scale: the fast-path equivalences at sizes closer to bench_scale
-// than the tier1 unit tests — series kernels at n=96, the H1 pair heap at a
-// ~100-node SW graph, and the parallel planner sweep on a 32-process
-// system. Everything here is a bitwise-equivalence check; timing claims
-// live in bench/bench_scale.cpp.
+// than the tier1 unit tests — series kernels at n=96, the H1 pair heap
+// against the reference oracle's rescan at a ~100-node SW graph, and the
+// parallel planner sweep on a 32-process system. Everything here is a
+// bitwise-equivalence check; timing claims live in bench/bench_scale.cpp.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,6 +11,7 @@
 #include "graph/series.h"
 #include "mapping/clustering.h"
 #include "mapping/planner.h"
+#include "reference_oracles.h"
 
 namespace fcm {
 namespace {
@@ -106,17 +107,15 @@ TEST(ScaleClustering, PairHeapMatchesScanAtHundredNodes) {
     // and skipping the oracle keeps this suite fast under plain `ctest`.
     options.enforce_schedulability = false;
 
-    options.use_pair_heap = false;
-    mapping::ClusterEngine scan_engine(sw, options);
-    const mapping::ClusteringResult scan = scan_engine.h1_greedy();
+    const mapping::oracle::MergeRun scan =
+        mapping::oracle::h1_greedy(sw, options);
 
-    options.use_pair_heap = true;
     mapping::ClusterEngine heap_engine(sw, options);
     const mapping::ClusteringResult heap = heap_engine.h1_greedy();
 
     EXPECT_EQ(scan.steps, heap.steps);
     EXPECT_EQ(scan.partition.cluster_of, heap.partition.cluster_of);
-    EXPECT_EQ(scan.cross_cluster_influence(), heap.cross_cluster_influence());
+    EXPECT_EQ(scan.cross_influence, heap.cross_cluster_influence());
   }
 }
 

@@ -110,5 +110,27 @@ TEST_F(DifferentialTest, SocketColdWarmAndOneShotAgreeAcrossThreadCounts) {
   }
 }
 
+TEST(ServeMappingParams, QuotientIsAnUnknownParameter) {
+  // Quotient maintenance has one mode, so the old quotient= switch is no
+  // longer part of the wire: it is rejected like any other unknown
+  // parameter, in process and over the socket, instead of planning.
+  QueryEngine engine;
+  try {
+    (void)engine.run(protocol::Opcode::kMapping, "quotient=rebuild");
+    FAIL() << "quotient=rebuild produced a plan";
+  } catch (const QueryError& error) {
+    EXPECT_STREQ(error.what(), "unknown parameter 'quotient'");
+  }
+
+  Server server(engine);
+  server.start();
+  Client client("127.0.0.1", server.port(), Duration::millis(30'000));
+  const Client::Response response =
+      client.request(protocol::Opcode::kMapping, "hw=4 quotient=rebuild");
+  EXPECT_EQ(response.status, protocol::Status::kBadRequest);
+  EXPECT_EQ(response.payload, "unknown parameter 'quotient'");
+  server.stop();
+}
+
 }  // namespace
 }  // namespace fcm::serve
